@@ -65,9 +65,8 @@ func interesting(stack string) bool {
 	return true
 }
 
-// snapshot returns the set of live interesting goroutine stacks, keyed by
-// the goroutine header line ("goroutine 12 [running]:") — stable enough to
-// diff before/after within one test.
+// snapshot returns the live interesting goroutine stacks, keyed by
+// goroutine id.
 func snapshot() map[string]string {
 	buf := make([]byte, 1<<20)
 	for {
@@ -78,13 +77,22 @@ func snapshot() map[string]string {
 		}
 		buf = make([]byte, len(buf)*2)
 	}
+	return parseStacks(string(buf))
+}
+
+// parseStacks splits a runtime.Stack(all) dump into its interesting
+// goroutines, keyed by the id in each header ("goroutine 12 [running]:").
+// The id alone is the key: the state in brackets changes as a goroutine
+// runs, and a goroutine alive before a test is not new because it parked.
+func parseStacks(dump string) map[string]string {
 	stacks := make(map[string]string)
-	for _, g := range strings.Split(string(buf), "\n\n") {
+	for _, g := range strings.Split(dump, "\n\n") {
 		if !interesting(g) {
 			continue
 		}
 		header, _, _ := strings.Cut(g, "\n")
-		stacks[header] = g
+		id, _, _ := strings.Cut(strings.TrimPrefix(header, "goroutine "), " ")
+		stacks[id] = g
 	}
 	return stacks
 }
@@ -117,8 +125,8 @@ func wait(before map[string]string) []string {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		var leaked []string
-		for header, stack := range snapshot() {
-			if _, ok := before[header]; !ok {
+		for id, stack := range snapshot() {
+			if _, ok := before[id]; !ok {
 				leaked = append(leaked, stack)
 			}
 		}

@@ -57,6 +57,20 @@ func TestPreexistingGoroutinesIgnored(t *testing.T) {
 	}
 }
 
+func TestParseStacksKeysByID(t *testing.T) {
+	const stack = "main.worker(...)\n\t/src/main.go:10 +0x1d"
+	before := parseStacks("goroutine 7 [runnable]:\n" + stack)
+	after := parseStacks("goroutine 7 [chan receive]:\n" + stack +
+		"\n\ngoroutine 8 [select]:\n" + stack)
+	// Goroutine 7 only changed state; 8 is the one new goroutine.
+	_, inBefore := before["7"]
+	_, inAfter := after["7"]
+	_, newOne := after["8"]
+	if len(before) != 1 || len(after) != 2 || !inBefore || !inAfter || !newOne {
+		t.Fatalf("parsed before %q, after %q", before, after)
+	}
+}
+
 func TestInterestingFilters(t *testing.T) {
 	if interesting("goroutine 5 [running]:\ntesting.tRunner(...)") {
 		t.Error("test runner stack should be ignored")

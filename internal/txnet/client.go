@@ -91,7 +91,8 @@ type Client struct {
 	session uint64
 	seq     uint64
 	rng     *rand.Rand
-	buf     []byte
+	buf     []byte // outgoing frame
+	rbuf    []byte // incoming frame; parseResponse copies what it keeps
 	closed  bool
 	tr      *trace.Local
 
@@ -143,9 +144,9 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	if c.conn != nil && c.session != 0 {
-		c.buf = appendBye(c.buf[:0], c.session)
+		c.buf = sealFrame(appendBye(newFrame(c.buf), c.session))
 		_ = c.conn.SetDeadline(time.Now().Add(time.Second))
-		if err := writeFrame(c.conn, c.buf); err == nil {
+		if _, err := c.conn.Write(c.buf); err == nil {
 			_, _ = readFrame(c.br, nil) // wait for the ack, ignore its content
 		}
 	}
@@ -170,9 +171,9 @@ func (c *Client) connectLocked(ctx context.Context) error {
 		return err
 	}
 	br := bufio.NewReader(conn)
-	c.buf = appendHello(c.buf[:0], c.session)
+	c.buf = sealFrame(appendHello(newFrame(c.buf), c.session))
 	_ = conn.SetDeadline(time.Now().Add(c.o.DialTimeout))
-	if err := writeFrame(conn, c.buf); err != nil {
+	if _, err := conn.Write(c.buf); err != nil {
 		conn.Close()
 		return err
 	}
@@ -253,7 +254,11 @@ func (c *Client) DoStages(ctx context.Context, ops []Op, st *Stages) ([]OpResult
 	if c.closed {
 		return nil, ErrClosed
 	}
-	seq := c.seq + 1
+	// Every call consumes its seq, whatever its outcome: a call that gives
+	// up leaves an unknown verdict behind, and reusing its seq would hand
+	// the next call that cached verdict. The server treats gaps as normal.
+	c.seq++
+	seq := c.seq
 	var traceID uint64
 	if c.tr.Draw() {
 		// Nonzero by construction: zero means "unsampled" on the wire.
@@ -290,11 +295,16 @@ func (c *Client) DoStages(ctx context.Context, ops []Op, st *Stages) ([]OpResult
 		}
 		r, queueNS, netNS, err := c.roundTrip(ctx, seq, ops, traceID, flags)
 		if err != nil {
+			_ = c.dropLocked()
+			if cerr := ctxErr(ctx); cerr != nil {
+				// The caller gave up (the I/O deadline derives from ctx);
+				// that is not a resend.
+				return nil, cerr
+			}
 			// Connection-level failure mid-request: the server may or may
 			// not have committed. Reconnect and resend the same seq; the
 			// session cache disambiguates. The resend keeps the original
 			// trace id so the retried commit stays one trace.
-			_ = c.dropLocked()
 			c.stats.resends.Add(1)
 			resends++
 			flags |= flagResend
@@ -312,7 +322,6 @@ func (c *Client) DoStages(ctx context.Context, ops []Op, st *Stages) ([]OpResult
 		}
 		switch r.status {
 		case StatusOK:
-			c.seq = seq
 			var serverNS int64
 			for _, d := range r.stages {
 				serverNS += d
@@ -346,16 +355,12 @@ func (c *Client) DoStages(ctx context.Context, ops []Op, st *Stages) ([]OpResult
 			}
 			continue
 		case StatusDeadline:
-			c.seq = seq
 			return nil, ErrDeadline
 		case StatusAborted:
-			c.seq = seq
 			return nil, fmt.Errorf("%w: %s", ErrAborted, r.msg)
 		case StatusShutdown:
-			c.seq = seq
 			return nil, ErrUnavailable
 		case StatusBadRequest:
-			c.seq = seq
 			if r.msg == "unknown session" {
 				return nil, ErrSessionExpired
 			}
@@ -401,9 +406,9 @@ func (c *Client) roundTrip(ctx context.Context, seq uint64, ops []Op,
 	if timed {
 		t0 = time.Now()
 	}
-	c.buf = appendTxn(c.buf[:0], c.session, seq, deadline, traceID, traceID, flags, ops)
+	c.buf = sealFrame(appendTxn(newFrame(c.buf), c.session, seq, deadline, traceID, traceID, flags, ops))
 	_ = c.conn.SetDeadline(ioDeadline)
-	if err := writeFrame(c.conn, c.buf); err != nil {
+	if _, err := c.conn.Write(c.buf); err != nil {
 		return response{}, 0, 0, err
 	}
 	var sent time.Time
@@ -411,10 +416,11 @@ func (c *Client) roundTrip(ctx context.Context, seq uint64, ops []Op,
 		sent = time.Now()
 		queueNS = sent.Sub(t0).Nanoseconds()
 	}
-	frame, err := readFrame(c.br, nil)
+	frame, err := readFrame(c.br, c.rbuf)
 	if err != nil {
 		return response{}, 0, 0, err
 	}
+	c.rbuf = frame
 	if timed {
 		netNS = time.Since(sent).Nanoseconds()
 	}
@@ -427,6 +433,16 @@ func (c *Client) roundTrip(ctx context.Context, seq uint64, ops []Op,
 		return response{}, 0, 0, fmt.Errorf("txnet: response for seq %d, want %d", r.seq, seq)
 	}
 	return r, queueNS, netNS, nil
+}
+
+// ctxErr is ctx.Err(). Once ctx's deadline has passed it first waits for
+// ctx to report it (its timer may lag the clock), so a caller seeing the
+// error also sees ctx done.
+func ctxErr(ctx context.Context) error {
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		<-ctx.Done()
+	}
+	return ctx.Err()
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

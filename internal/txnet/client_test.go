@@ -175,6 +175,35 @@ func TestClientDeadline(t *testing.T) {
 	}
 }
 
+// TestClientCancelIsNotResend gives up on a request the server is still
+// holding: the caller's own deadline ends the call, which must surface as
+// the context's error and must not count as a resend. The abandoned request
+// commits later; the next call must get its own verdict, not that one.
+func TestClientCancelIsNotResend(t *testing.T) {
+	leak.CheckCleanup(t)
+	s := newTestServer(t, Options{})
+	c := newTestClient(t, s.Addr())
+
+	disarm := failpoint.Arm("txnet.server.stall", failpoint.Spec{Action: failpoint.Delay, Delay: 300 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err := c.Do(ctx, []Op{{Code: OpAdd, Struct: 0, Key: 1}})
+	disarm()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if st := c.Stats(); st.Resends != 0 {
+		t.Fatalf("caller cancellation counted as a resend: %+v", st)
+	}
+
+	if ok, err := c.SetContains(context.Background(), 0, 2); err != nil || ok {
+		t.Fatalf("next call got a stale verdict: %v %v", ok, err)
+	}
+	if ok, err := c.SetContains(context.Background(), 0, 1); err != nil || !ok {
+		t.Fatalf("abandoned add did not commit: %v %v", ok, err)
+	}
+}
+
 func TestClientUnavailableDuringDrain(t *testing.T) {
 	leak.CheckCleanup(t)
 	st := newBlockingStore()
@@ -248,5 +277,30 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 			t.Fatal("condition not reached in time")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkClientDoLoopback times one read-only transaction end to end over
+// loopback TCP: client encode and write, server read, dispatch and execute,
+// response write, client read and parse. One connection, one op.
+func BenchmarkClientDoLoopback(b *testing.B) {
+	s, err := Listen("127.0.0.1:0", Options{})
+	if err != nil {
+		b.Fatalf("listen: %v", err)
+	}
+	defer s.Close()
+	c, err := Dial(s.Addr(), &ClientOptions{Seed: 1})
+	if err != nil {
+		b.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	ops := []Op{{Code: OpContains, Struct: 0, Key: 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Do(ctx, ops); err != nil {
+			b.Fatalf("do: %v", err)
+		}
 	}
 }

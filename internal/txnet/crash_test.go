@@ -208,7 +208,7 @@ func dialCrash(addr string) (*wconn, error) {
 
 func (w *wconn) rt(payload []byte) (response, error) {
 	_ = w.c.SetDeadline(time.Now().Add(3 * time.Second))
-	if err := writeFrame(w.c, payload); err != nil {
+	if _, err := w.c.Write(frameOf(payload)); err != nil {
 		return response{}, err
 	}
 	frame, err := readFrame(w.br, nil)

@@ -181,7 +181,9 @@ func parseOp(p []byte) Op {
 // commitTxn is execTxn's commit path in durable mode: execute, log, ack —
 // in that order, with the ack written to the wire only after SyncTo
 // honours the fsync policy. Called with sess.mu held. Store errors return
-// for the caller's status classification; log errors never return.
+// for the caller's status classification; log errors never return. The OK
+// response is appended to resp (after the frame prefix execTxn reserved);
+// the session cache keeps the bare payload.
 func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, results []OpResult, resp []byte, o *reqObs) ([]byte, error) {
 	if !mutating(req.ops) {
 		// Read-only: nothing to log. Execute outside d.mu (reads keep
@@ -192,10 +194,11 @@ func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, resu
 		if err != nil {
 			return resp, err
 		}
+		okStart := len(resp)
 		resp = appendOKResp(resp, req.seq, results, o.wireStages(req))
 		d.mu.Lock()
 		sess.lastSeq = req.seq
-		sess.lastResp = append(sess.lastResp[:0], resp...)
+		sess.lastResp = append(sess.lastResp[:0], resp[okStart:]...)
 		d.mu.Unlock()
 		return resp, nil
 	}
@@ -226,7 +229,7 @@ func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, resu
 	okStart := len(resp)
 	resp = appendOKResp(resp, req.seq, results, o.wireStages(req))
 	sess.lastSeq = req.seq
-	sess.lastResp = append(sess.lastResp[:0], resp...)
+	sess.lastResp = append(sess.lastResp[:0], resp[okStart:]...)
 	d.commitsSinceSnap++
 	if d.snapEvery > 0 && d.commitsSinceSnap >= d.snapEvery {
 		d.commitsSinceSnap = 0

@@ -10,8 +10,9 @@ import (
 )
 
 // Wire format: every message is one frame — a 4-byte big-endian payload
-// length followed by the payload. The first payload byte is the message type
-// (requests) or status (responses); all integers are big-endian.
+// length followed by the payload, always sent in a single write. The first
+// payload byte is the message type (requests) or status (responses); all
+// integers are big-endian.
 //
 // Requests:
 //
@@ -181,15 +182,22 @@ type response struct {
 	hasStages bool
 }
 
-// writeFrame writes one length-prefixed frame. The caller flushes.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameHdr is the size of a frame's length prefix.
+const frameHdr = 4
+
+// newFrame empties b and reserves a frame's length prefix at its front. The
+// append* encoders then write the payload after it and sealFrame patches the
+// length in, so a whole frame goes to the conn in one Write: with
+// TCP_NODELAY a separate header write costs an extra segment and an extra
+// wake-up of the reader per request.
+func newFrame(b []byte) []byte {
+	return append(b[:0], 0, 0, 0, 0)
+}
+
+// sealFrame writes the payload length into the prefix newFrame reserved.
+func sealFrame(f []byte) []byte {
+	binary.BigEndian.PutUint32(f, uint32(len(f)-frameHdr))
+	return f
 }
 
 // readFrame reads one frame into buf (grown as needed) and returns the

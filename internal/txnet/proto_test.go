@@ -2,23 +2,128 @@ package txnet
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
+// frameOf frames an encoded payload for tests that build payloads alone.
+func frameOf(payload []byte) []byte {
+	return sealFrame(append(newFrame(nil), payload...))
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	payload := []byte("hello frame")
-	if err := writeFrame(&buf, payload); err != nil {
-		t.Fatalf("writeFrame: %v", err)
-	}
-	got, err := readFrame(&buf, nil)
+	got, err := readFrame(bytes.NewReader(frameOf(payload)), nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("frame round-trip: got %q want %q", got, payload)
+	}
+}
+
+// TestEncodedFramesRoundTrip builds every request and response frame the
+// way the client and server do — prefix reserved, payload appended, length
+// patched in — and checks each carries its payload's length and decodes
+// through readFrame and its parser.
+func TestEncodedFramesRoundTrip(t *testing.T) {
+	read := func(t *testing.T, f []byte) []byte {
+		t.Helper()
+		if n := binary.BigEndian.Uint32(f); int(n) != len(f)-frameHdr {
+			t.Fatalf("prefix %d, payload %d bytes", n, len(f)-frameHdr)
+		}
+		// A trailing byte checks the prefix bounds the frame exactly.
+		buf := bytes.NewBuffer(append(append([]byte{}, f...), 0xEE))
+		p, err := readFrame(buf, nil)
+		if err != nil {
+			t.Fatalf("readFrame: %v", err)
+		}
+		if buf.Len() != 1 {
+			t.Fatalf("readFrame left %d bytes, want 1", buf.Len())
+		}
+		return p
+	}
+	// One reused buffer, as the client and server keep, with leftovers
+	// from a longer frame in it.
+	b := bytes.Repeat([]byte{0xAB}, 64)
+
+	t.Run("hello", func(t *testing.T) {
+		b = sealFrame(appendHello(newFrame(b), 77))
+		if p := read(t, b); len(p) != 9 || p[0] != msgHello || be64(p[1:]) != 77 {
+			t.Fatalf("hello payload % x", p)
+		}
+	})
+	t.Run("bye", func(t *testing.T) {
+		b = sealFrame(appendBye(newFrame(b), 78))
+		if p := read(t, b); len(p) != 9 || p[0] != msgBye || be64(p[1:]) != 78 {
+			t.Fatalf("bye payload % x", p)
+		}
+	})
+	for _, n := range []int{0, 1, maxOps} {
+		t.Run(fmt.Sprintf("txn-%d-ops", n), func(t *testing.T) {
+			ops := make([]Op, n)
+			for i := range ops {
+				ops[i] = Op{Code: OpCode(i % int(numOpCodes)), Struct: uint32(i % 3), Key: int64(i) - 5, Val: uint64(i) * 3}
+			}
+			b = sealFrame(appendTxn(newFrame(b), 9, 10, time.Second, 11, 12, flagStages, ops))
+			req, _, err := parseTxn(read(t, b), nil)
+			if err != nil {
+				t.Fatalf("parseTxn: %v", err)
+			}
+			if req.session != 9 || req.seq != 10 || req.traceID != 11 || len(req.ops) != n {
+				t.Fatalf("txn: %+v", req)
+			}
+			for i := range ops {
+				if req.ops[i] != ops[i] {
+					t.Fatalf("op %d: got %+v want %+v", i, req.ops[i], ops[i])
+				}
+			}
+		})
+	}
+
+	var stages [trace.NumStages]int64
+	stages[trace.StageExecute] = 1234
+	results := []OpResult{{Out: 5, OK: true}, {}}
+	resps := []struct {
+		name   string
+		encode func([]byte) []byte
+		want   response
+	}{
+		{"ok", func(b []byte) []byte { return appendOKResp(b, 3, results, nil) },
+			response{status: StatusOK, seq: 3, results: results}},
+		{"ok-stages", func(b []byte) []byte { return appendOKResp(b, 3, results, &stages) },
+			response{status: StatusOK, seq: 3, results: results, stages: stages, hasStages: true}},
+		{"aborted", func(b []byte) []byte { return appendErrResp(b, StatusAborted, 4, 0, "conflict") },
+			response{status: StatusAborted, seq: 4, msg: "conflict"}},
+		{"deadline", func(b []byte) []byte { return appendErrResp(b, StatusDeadline, 5, 0, "") },
+			response{status: StatusDeadline, seq: 5}},
+		{"overloaded", func(b []byte) []byte { return appendErrResp(b, StatusOverloaded, 6, 3*time.Millisecond, "") },
+			response{status: StatusOverloaded, seq: 6, retryAfter: 3 * time.Millisecond}},
+		{"bad-request", func(b []byte) []byte { return appendErrResp(b, StatusBadRequest, 7, 0, "unknown session") },
+			response{status: StatusBadRequest, seq: 7, msg: "unknown session"}},
+		{"shutdown", func(b []byte) []byte { return appendErrResp(b, StatusShutdown, 8, 0, "") },
+			response{status: StatusShutdown, seq: 8}},
+		{"hello", func(b []byte) []byte { return appendHelloResp(b, 55, 9) },
+			response{status: StatusHello, sessionID: 55, lastSeq: 9}},
+		{"bye", appendByeResp, response{status: StatusBye}},
+	}
+	for _, c := range resps {
+		t.Run("resp-"+c.name, func(t *testing.T) {
+			b = sealFrame(c.encode(newFrame(b)))
+			r, err := parseResponse(read(t, b))
+			if err != nil {
+				t.Fatalf("parseResponse: %v", err)
+			}
+			if !reflect.DeepEqual(r, c.want) {
+				t.Fatalf("got %+v\nwant %+v", r, c.want)
+			}
+		})
 	}
 }
 

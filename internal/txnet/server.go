@@ -335,7 +335,6 @@ func (s *Server) handleConn(c net.Conn) {
 		panic(p)
 	}()
 	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
 	tl := serverSrc.Local()
 	var (
 		buf  []byte
@@ -349,7 +348,7 @@ func (s *Server) handleConn(c net.Conn) {
 			return
 		}
 		buf = frame
-		ops, err = s.handleFrame(bw, tl, frame, ops, &resp)
+		ops, err = s.handleFrame(c, tl, frame, ops, &resp)
 		if err != nil {
 			if errors.Is(err, errConnDropped) {
 				s.stats.droppedConns.Add(1)
@@ -359,9 +358,9 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 }
 
-// handleFrame dispatches one request and writes its response. It recovers
-// injected failpoint panics into errConnDropped.
-func (s *Server) handleFrame(bw *bufio.Writer, tl *trace.Local, frame []byte, ops []Op, resp *[]byte) (opsOut []Op, err error) {
+// handleFrame dispatches one request and writes its response, framed in
+// *resp, to w. It recovers injected failpoint panics into errConnDropped.
+func (s *Server) handleFrame(w io.Writer, tl *trace.Local, frame []byte, ops []Op, resp *[]byte) (opsOut []Op, err error) {
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -394,13 +393,17 @@ func (s *Server) handleFrame(bw *bufio.Writer, tl *trace.Local, frame []byte, op
 			var ok bool
 			if sess, ok = s.sess.lookup(id); !ok {
 				sessStats.resumeExpired.Add(1)
-				*resp = appendErrResp((*resp)[:0], StatusBadRequest, 0, 0, "unknown session")
-				return ops, s.writeResp(bw, *resp)
+				*resp = appendErrResp(newFrame(*resp), StatusBadRequest, 0, 0, "unknown session")
+				return ops, writeResp(w, *resp)
 			}
 			sessStats.resumed.Add(1)
 		}
-		*resp = appendHelloResp((*resp)[:0], sess.id, sess.lastSeq)
-		return ops, s.writeResp(bw, *resp)
+		// A resume can race a zombie connection still executing this
+		// session's last request; the lock makes lastSeq its final value.
+		sess.mu.Lock()
+		*resp = appendHelloResp(newFrame(*resp), sess.id, sess.lastSeq)
+		sess.mu.Unlock()
+		return ops, writeResp(w, *resp)
 	case msgBye:
 		if len(frame) != 9 {
 			return ops, fmt.Errorf("txnet: malformed bye")
@@ -411,17 +414,14 @@ func (s *Server) handleFrame(bw *bufio.Writer, tl *trace.Local, frame []byte, op
 				s.dur.logSessionClose(id)
 			}
 		}
-		*resp = appendByeResp((*resp)[:0])
-		return ops, s.writeResp(bw, *resp)
+		*resp = appendByeResp(newFrame(*resp))
+		return ops, writeResp(w, *resp)
 	case msgTxn:
 		req, ops, perr := parseTxn(frame, ops)
 		if perr != nil {
 			s.stats.badReq.Add(1)
-			*resp = appendErrResp((*resp)[:0], StatusBadRequest, 0, 0, perr.Error())
-			if werr := s.writeResp(bw, *resp); werr != nil {
-				return ops, werr
-			}
-			return ops, nil
+			*resp = appendErrResp(newFrame(*resp), StatusBadRequest, 0, 0, perr.Error())
+			return ops, writeResp(w, *resp)
 		}
 		s.stats.requests.Add(1)
 		var obs reqObs
@@ -429,9 +429,9 @@ func (s *Server) handleFrame(bw *bufio.Writer, tl *trace.Local, frame []byte, op
 		// An injected panic between here and finish leaves the span open;
 		// abandon (a no-op after finish) closes it on that path.
 		defer obs.abandon()
-		*resp = s.execTxn(req, (*resp)[:0], &obs)
-		werr := s.writeResp(bw, *resp)
-		obs.finish(s, &req, Status((*resp)[0]), werr == nil)
+		*resp = s.execTxn(req, newFrame(*resp), &obs)
+		werr := writeResp(w, *resp)
+		obs.finish(s, &req, Status((*resp)[frameHdr]), werr == nil)
 		return ops, werr
 	default:
 		return ops, fmt.Errorf("txnet: unknown message type %d", frame[0])
@@ -439,8 +439,9 @@ func (s *Server) handleFrame(bw *bufio.Writer, tl *trace.Local, frame []byte, op
 }
 
 // execTxn runs one transaction request through the session, admission and
-// store layers, returning the encoded response. o records where the
-// request's time went (a disarmed o makes every stamp one branch).
+// store layers, returning resp with the encoded response appended. o
+// records where the request's time went (a disarmed o makes every stamp one
+// branch).
 func (s *Server) execTxn(req txnReq, resp []byte, o *reqObs) []byte {
 	sess, ok := s.sess.lookup(req.session)
 	if !ok {
@@ -513,11 +514,12 @@ func (s *Server) execTxn(req txnReq, resp []byte, o *reqObs) []byte {
 		o.stamp(trace.StageExecute)
 		if err == nil {
 			s.stats.commits.Add(1)
+			okStart := len(resp)
 			resp = appendOKResp(resp, req.seq, results, o.wireStages(req))
 			// Commit and cache move together under the session lock: from here
 			// on, a retry of req.seq replays this exact response.
 			sess.lastSeq = req.seq
-			sess.lastResp = append(sess.lastResp[:0], resp...)
+			sess.lastResp = append(sess.lastResp[:0], resp[okStart:]...)
 			return resp
 		}
 	}
@@ -537,38 +539,23 @@ func (s *Server) execTxn(req txnReq, resp []byte, o *reqObs) []byte {
 	}
 }
 
-// writeResp frames and flushes one response. With txnet.write.partial armed
-// the header (promising the full length) and first half of the payload are
-// flushed to the wire before the failpoint fires, so an injected panic
-// leaves the client holding a truncated frame — the nastiest network fault:
-// bytes arrived, then silence.
-func (s *Server) writeResp(bw *bufio.Writer, payload []byte) error {
-	if fpWritePartial.Armed() && len(payload) > 1 {
-		var hdr [4]byte
-		hdr[0] = byte(len(payload) >> 24)
-		hdr[1] = byte(len(payload) >> 16)
-		hdr[2] = byte(len(payload) >> 8)
-		hdr[3] = byte(len(payload))
-		half := len(payload) / 2
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payload[:half]); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
+// writeResp seals a response frame built on newFrame and writes it in a
+// single Write. With txnet.write.partial armed the header (promising the
+// full length) and the first half of the payload reach the wire before the
+// failpoint fires, so an injected panic leaves the client holding a
+// truncated frame — the nastiest network fault: bytes arrived, then silence.
+func writeResp(w io.Writer, frame []byte) error {
+	frame = sealFrame(frame)
+	if fpWritePartial.Armed() && len(frame) > frameHdr+1 {
+		half := frameHdr + (len(frame)-frameHdr)/2
+		if _, err := w.Write(frame[:half]); err != nil {
 			return err
 		}
 		fpWritePartial.Hit()
-		if _, err := bw.Write(payload[half:]); err != nil {
-			return err
-		}
-		return bw.Flush()
+		frame = frame[half:]
 	}
-	if err := writeFrame(bw, payload); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(frame)
+	return err
 }
 
 // reqObs carries one request's observability state: the open trace span,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func (r *rawConn) hello(id uint64) response {
 
 func (r *rawConn) send(payload []byte) response {
 	r.t.Helper()
-	if err := writeFrame(r.c, payload); err != nil {
+	if _, err := r.c.Write(frameOf(payload)); err != nil {
 		r.t.Fatalf("write: %v", err)
 	}
 	frame, err := readFrame(r.br, nil)
@@ -115,6 +116,73 @@ func TestServerBasicOps(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// countingListener hands the server connections that count its Writes.
+type countingListener struct {
+	net.Listener
+	writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, &l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestServerOneWritePerResponse checks every response leaves the server in
+// exactly one Write, whatever its kind and size.
+func TestServerOneWritePerResponse(t *testing.T) {
+	leak.CheckCleanup(t)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	ln := &countingListener{Listener: inner}
+	s := Serve(ln, Options{})
+	t.Cleanup(func() { s.Close() })
+	rc := dialRaw(t, s.Addr())
+
+	big := make([]Op, 1024) // a 9 KiB response, larger than a bufio buffer
+	for i := range big {
+		big[i] = Op{Code: OpContains, Key: int64(i)}
+	}
+	steps := []struct {
+		name string
+		do   func() response
+		want Status
+	}{
+		{"hello", func() response { return rc.hello(0) }, StatusHello},
+		{"ok", func() response { return rc.txn(1, 0, Op{Code: OpAdd, Key: 1}) }, StatusOK},
+		{"replay", func() response { return rc.txn(1, 0, Op{Code: OpAdd, Key: 1}) }, StatusOK},
+		{"ok-stages", func() response {
+			return rc.send(appendTxn(nil, rc.sess, 2, 0, 0, 0, flagStages, []Op{{Code: OpAdd, Key: 2}}))
+		}, StatusOK},
+		{"ok-1024-ops", func() response { return rc.txn(3, 0, big...) }, StatusOK},
+		{"stale-seq", func() response { return rc.txn(1, 0, Op{Code: OpAdd, Key: 3}) }, StatusBadRequest},
+		{"bad-op", func() response { return rc.txn(4, 0, Op{Code: OpGet, Struct: 0, Key: 3}) }, StatusBadRequest},
+		{"bye", func() response { return rc.send(appendBye(nil, rc.sess)) }, StatusBye},
+	}
+	for i, st := range steps {
+		if r := st.do(); r.status != st.want {
+			t.Fatalf("%s: status %s, want %s", st.name, r.status, st.want)
+		}
+		if got := ln.writes.Load(); got != int64(i+1) {
+			t.Fatalf("after %s: %d server writes for %d responses", st.name, got, i+1)
+		}
 	}
 }
 

@@ -93,11 +93,25 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("results: %+v", res)
 	}
 
-	evs := trace.Default.Snapshot()
-	var span uint64
-	for _, e := range evs {
-		if e.Runtime == "txnet.client" && e.Kind == trace.EvReqStart {
-			span = e.Span
+	// The server stamps its ack stage and closes its span after the
+	// response is on the wire, so the client can get here first: wait for
+	// the server span's end event before asserting on the ring.
+	var (
+		evs            []trace.Event
+		span           uint64
+		client, server []trace.Event
+	)
+	for wait := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		evs = trace.Default.Snapshot()
+		for _, e := range evs {
+			if e.Runtime == "txnet.client" && e.Kind == trace.EvReqStart {
+				span = e.Span
+				break
+			}
+		}
+		server = spanEvents(evs, "txnet.server", span)
+		ended := len(server) > 0 && server[len(server)-1].Kind == trace.EvReqEnd
+		if (span != 0 && ended) || time.Now().After(wait) {
 			break
 		}
 	}
@@ -105,8 +119,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("no client request span in %d events", len(evs))
 	}
 
-	client := spanEvents(evs, "txnet.client", span)
-	server := spanEvents(evs, "txnet.server", span)
+	client = spanEvents(evs, "txnet.client", span)
 	if len(server) == 0 {
 		t.Fatalf("server recorded no events under the client's trace id %016x", span)
 	}
