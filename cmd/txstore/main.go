@@ -11,6 +11,7 @@
 //	txstore -addr :7470
 //	txstore -addr :7470 -wal-dir /var/lib/txstore -fsync always   # durable
 //	txstore -addr :7470 -store stm -alg TL2
+//	txstore -addr :7470 -store mvotb -wal-dir /var/lib/txstore   # durable multi-version
 //	txstore -addr :7470 -max-inflight 64 -cm hybrid -debug-addr localhost:6060
 //	txstore -failpoints 'txnet.conn.drop=panic@prob:0.01'   # chaos drill
 //
@@ -72,7 +73,7 @@ func main() {
 		failspec    = flag.String("failpoints", "", "fault-injection specs, 'name=action[@triggers];...' (see internal/chaos/failpoint)")
 		debugAddr   = flag.String("debug-addr", "", "serve the live debug endpoint (trace snapshot, pprof, expvar) on this address")
 		statsEvery  = flag.Duration("stats-every", 0, "periodically log server stats to stderr (0 = off)")
-		walDir      = flag.String("wal-dir", "", "directory for the write-ahead log; enables durable mode (-store otb only) with recovery on start")
+		walDir      = flag.String("wal-dir", "", "directory for the write-ahead log; enables durable mode with recovery on start")
 		fsyncPolicy = flag.String("fsync", "always", "WAL sync policy: always (ack after fsync), interval (background fsync), never (OS decides)")
 		fsyncEvery  = flag.Duration("fsync-interval", 2*time.Millisecond, "background fsync cadence for -fsync interval")
 		snapEvery   = flag.Int("snapshot-every", txnet.DefaultSnapshotEvery, "snapshot the store+sessions after this many logged commits (<=0 disables)")
@@ -96,35 +97,9 @@ func main() {
 	}
 
 	var store txnet.Store
-	var dur *txnet.Durable
 	switch *storeKind {
 	case "otb":
-		otbStore := txnet.NewOTBStore()
-		store = otbStore
-		if *walDir != "" {
-			policy, err := wal.ParsePolicy(*fsyncPolicy)
-			if err != nil {
-				fatal(err)
-			}
-			every := *snapEvery
-			if every <= 0 {
-				every = -1
-			}
-			dur, err = txnet.OpenDurable(otbStore, txnet.DurabilityOptions{
-				Dir:           *walDir,
-				Fsync:         policy,
-				FsyncInterval: *fsyncEvery,
-				SnapshotEvery: every,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			rec := dur.Recovery()
-			fmt.Fprintf(os.Stderr,
-				"txstore: recovered %s in %v: snapshot lsn %d, %d records (%d commits) replayed, %d sessions, torn-tail=%v, snapshots-skipped=%d\n",
-				*walDir, rec.Elapsed.Round(time.Microsecond), rec.SnapshotLSN, rec.RecordsReplayed,
-				rec.CommitsReplayed, rec.SessionsRestored, rec.TornTail, rec.SnapshotsSkipped)
-		}
+		store = txnet.NewOTBStore()
 	case "mvotb":
 		st := txnet.NewMVOTBStore()
 		defer st.Stop()
@@ -138,8 +113,30 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -store %q (otb, mvotb or stm)", *storeKind))
 	}
-	if *walDir != "" && dur == nil {
-		fatal(fmt.Errorf("-wal-dir requires -store otb (the durable dump/replay path is OTB-only)"))
+	var dur *txnet.Durable
+	if *walDir != "" {
+		policy, err := wal.ParsePolicy(*fsyncPolicy)
+		if err != nil {
+			fatal(err)
+		}
+		every := *snapEvery
+		if every <= 0 {
+			every = -1
+		}
+		dur, err = txnet.OpenDurable(store, txnet.DurabilityOptions{
+			Dir:           *walDir,
+			Fsync:         policy,
+			FsyncInterval: *fsyncEvery,
+			SnapshotEvery: every,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		rec := dur.Recovery()
+		fmt.Fprintf(os.Stderr,
+			"txstore: recovered %s in %v: snapshot lsn %d, %d records (%d commits) replayed, %d sessions, torn-tail=%v, snapshots-skipped=%d\n",
+			*walDir, rec.Elapsed.Round(time.Microsecond), rec.SnapshotLSN, rec.RecordsReplayed,
+			rec.CommitsReplayed, rec.SessionsRestored, rec.TornTail, rec.SnapshotsSkipped)
 	}
 
 	if *debugAddr != "" {
@@ -166,10 +163,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "txstore: serving %s store on %s\n", *storeKind, srv.Addr())
-
+	// Catch signals before announcing the address: a SIGTERM sent right
+	// after the announcement must drain, not kill.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	fmt.Fprintf(os.Stderr, "txstore: serving %s store on %s\n", *storeKind, srv.Addr())
 
 	if *statsEvery > 0 {
 		go func() {

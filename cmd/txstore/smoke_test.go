@@ -77,6 +77,7 @@ func TestMetricsScrapeSmoke(t *testing.T) {
 	addrCh := make(chan [2]string, 1)
 	go func() {
 		var sa, da string
+		out := addrCh // nil once sent; addrCh itself stays readable
 		for lines.Scan() {
 			line := lines.Text()
 			if m := servingRE.FindStringSubmatch(line); m != nil {
@@ -85,9 +86,9 @@ func TestMetricsScrapeSmoke(t *testing.T) {
 			if m := debugRE.FindStringSubmatch(line); m != nil {
 				da = m[1]
 			}
-			if sa != "" && da != "" && addrCh != nil {
-				addrCh <- [2]string{sa, da}
-				addrCh = nil
+			if sa != "" && da != "" && out != nil {
+				out <- [2]string{sa, da}
+				out = nil
 			}
 			if strings.Contains(line, "slow-request") {
 				select {
@@ -208,5 +209,105 @@ func TestMetricsScrapeSmoke(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("child did not drain after SIGTERM")
+	}
+}
+
+// startServer runs the txstore child with args and returns its serving
+// address; the child is killed at cleanup unless stopServer drained it.
+func startServer(t *testing.T, args ...string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	cmd.Env = append(os.Environ(), "TXSTORE_SMOKE_CHILD=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
+	addr := make(chan string, 1)
+	go func() {
+		lines := bufio.NewScanner(stderr)
+		for lines.Scan() {
+			if m := servingRE.FindStringSubmatch(lines.Text()); m != nil {
+				addr <- m[1]
+			}
+		}
+	}()
+	select {
+	case a := <-addr:
+		return cmd, a
+	case <-time.After(10 * time.Second):
+		t.Fatalf("txstore %v did not announce its address", args)
+		return nil, ""
+	}
+}
+
+// stopServer sends SIGTERM and requires a clean drain.
+func stopServer(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("child exit: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("child did not drain after SIGTERM")
+	}
+}
+
+// TestDurableRestartEveryStore boots each -store with -wal-dir, commits a
+// set add and a map put, restarts on the same directory and reads both
+// back.
+func TestDurableRestartEveryStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns child processes")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, store := range []string{"otb", "mvotb", "stm"} {
+		t.Run(store, func(t *testing.T) {
+			args := []string{"-store", store, "-wal-dir", t.TempDir(), "-fsync", "always", "-capacity", "4096"}
+			cmd, addr := startServer(t, args...)
+			c, err := txnet.Dial(addr, &txnet.ClientOptions{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Do(ctx, []txnet.Op{
+				{Code: txnet.OpAdd, Struct: 0, Key: 42},
+				{Code: txnet.OpPut, Struct: 1, Key: 7, Val: 9},
+			}); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			c.Close()
+			stopServer(t, cmd)
+
+			cmd, addr = startServer(t, args...)
+			c, err = txnet.Dial(addr, &txnet.ClientOptions{Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Do(ctx, []txnet.Op{
+				{Code: txnet.OpContains, Struct: 0, Key: 42},
+				{Code: txnet.OpGet, Struct: 1, Key: 7},
+			})
+			if err != nil {
+				t.Fatalf("read after restart: %v", err)
+			}
+			if !res[0].OK || !res[1].OK || res[1].Out != 9 {
+				t.Fatalf("state after restart: %+v, want key 42 present and map[7]=9", res)
+			}
+			c.Close()
+			stopServer(t, cmd)
+		})
 	}
 }

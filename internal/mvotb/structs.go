@@ -59,19 +59,18 @@ func (s *Set) SnapContains(x *STx, key int64) bool {
 }
 
 // Len counts the currently-present keys (not linearizable; tests and
-// reporting). Epoch-pinned like every traversal.
+// reporting).
 func (s *Set) Len() int {
-	g := s.t.rt.mem.Enter()
-	defer g.Exit()
 	n := 0
-	for i := range s.t.buckets {
-		for kn := s.t.buckets[i].head.Load(); kn != nil; kn = kn.next.Load() {
-			if h := kn.head.Load(); h != nil && h.present {
-				n++
-			}
-		}
-	}
+	s.t.each(func(int64, uint64) { n++ })
 	return n
+}
+
+// Keys returns the currently-present keys in table order (not
+// linearizable; quiescent callers such as durable snapshots).
+func (s *Set) Keys() (keys []int64) {
+	s.t.each(func(k int64, _ uint64) { keys = append(keys, k) })
+	return keys
 }
 
 // Map is a multi-version boosted map over the same version-chained core.
@@ -138,3 +137,8 @@ func (m *Map) SnapContains(x *STx, key int64) bool {
 	_, ok := m.t.snapRead(x, key)
 	return ok
 }
+
+// Range calls fn for each currently-bound key and its newest value, in
+// table order (not linearizable; quiescent callers such as durable
+// snapshots).
+func (m *Map) Range(fn func(key int64, val uint64)) { m.t.each(fn) }

@@ -119,6 +119,21 @@ func (t *table) bucket(key int64) *bucket {
 	return &t.buckets[hashKey(key)&t.mask]
 }
 
+// each calls fn for every currently-present key with its newest value, in
+// bucket order (not linearizable; quiescent callers and reporting).
+// Epoch-pinned like every traversal.
+func (t *table) each(fn func(key int64, val uint64)) {
+	g := t.rt.mem.Enter()
+	defer g.Exit()
+	for i := range t.buckets {
+		for kn := t.buckets[i].head.Load(); kn != nil; kn = kn.next.Load() {
+			if h := kn.head.Load(); h != nil && h.present {
+				fn(kn.key, h.val)
+			}
+		}
+	}
+}
+
 // mutBreakSnapshot is a test-only mutation switch: when set, snapshot reads
 // return the newest version regardless of the reader's timestamp — the bug
 // class (a reader observing a version newer than its snapshot) the opacity

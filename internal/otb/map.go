@@ -553,16 +553,14 @@ func (m *Map) Len() int {
 	return n
 }
 
-// Snapshot returns the live key/value pairs in ascending key order
-// (tests only).
-func (m *Map) Snapshot() map[int64]uint64 {
-	out := make(map[int64]uint64)
+// Range calls fn for each live key/value pair in ascending key order (not
+// linearizable; quiescent callers such as durable snapshots).
+func (m *Map) Range(fn func(key int64, val uint64)) {
 	for curr := m.head.next[0].Load(); curr.key != math.MaxInt64; curr = curr.next[0].Load() {
 		if curr.fullyLinked.Load() && !curr.marked.Load() {
-			out[curr.key] = curr.val.Load()
+			fn(curr.key, curr.val.Load())
 		}
 	}
-	return out
 }
 
 var _ Datastructure = (*Map)(nil)

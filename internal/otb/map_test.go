@@ -63,7 +63,7 @@ func TestMapWriteEliminationAndUpgrades(t *testing.T) {
 			t.Errorf("Get = %d, want 71", v)
 		}
 	})
-	if snap := m.Snapshot(); snap[7] != 71 || len(snap) != 1 {
+	if snap := snapshot(t, m); snap[7] != 71 || len(snap) != 1 {
 		t.Fatalf("Snapshot = %v, want {7:71}", snap)
 	}
 
@@ -113,7 +113,7 @@ func TestMapMatchesModel(t *testing.T) {
 				}
 			}
 		}
-		snap := m.Snapshot()
+		snap := snapshot(t, m)
 		if len(snap) != len(model) {
 			return false
 		}
@@ -216,4 +216,20 @@ func TestMapValueValidationDoomsStaleReaders(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", attempts)
 	}
+}
+
+// snapshot collects m's live pairs through Range, failing t if Range does
+// not visit them in strictly ascending key order.
+func snapshot(t *testing.T, m *Map) map[int64]uint64 {
+	t.Helper()
+	out := make(map[int64]uint64)
+	first, prev := true, int64(0)
+	m.Range(func(k int64, v uint64) {
+		if !first && k <= prev {
+			t.Errorf("Range visited %d after %d", k, prev)
+		}
+		first, prev = false, k
+		out[k] = v
+	})
+	return out
 }

@@ -95,10 +95,16 @@ func (m *HashMap) Delete(tx stm.Tx, key int64) bool {
 // Len counts entries non-transactionally (tests and reporting only).
 func (m *HashMap) Len() int {
 	n := 0
+	m.Range(func(int64, uint64) { n++ })
+	return n
+}
+
+// Range calls fn for each entry, non-transactionally, in bucket order
+// (quiescent callers only, such as durable snapshots).
+func (m *HashMap) Range(fn func(key int64, val uint64)) {
 	for _, b := range m.buckets {
 		for r := Ref(b.Load()); r != nilRef; r = Ref(field(m.arena, r, hmNext).Load()) {
-			n++
+			fn(u2k(field(m.arena, r, hmKey).Load()), field(m.arena, r, hmVal).Load())
 		}
 	}
-	return n
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/lincheck"
+	"repro/internal/stm/norec"
 	"repro/internal/wal"
 )
 
@@ -47,10 +48,24 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// crashStores are the stores a round's child can serve, picked from the
+// round's seed. Each has a set at index 0 and a map at index 1, all the
+// workload touches.
+var crashStores = map[string]func() Store{
+	"otb":   func() Store { return NewOTBStore() },
+	"mvotb": func() Store { return NewMVOTBStore() },
+	"stm":   func() Store { return NewSTMStore(norec.New(), 1<<16) },
+}
+
 // crashChildMain is the child: open the durable store, serve it, print one
 // READY line with the recovery summary, then wait to be killed. Exit code
 // 3 marks setup failures so the parent can tell them from crash exits.
 func crashChildMain() {
+	newStore, ok := crashStores[os.Getenv("TXNET_CRASH_STORE")]
+	if !ok {
+		fmt.Fprintln(os.Stderr, "crash child: unknown store", os.Getenv("TXNET_CRASH_STORE"))
+		os.Exit(3)
+	}
 	policy, err := wal.ParsePolicy(os.Getenv("TXNET_CRASH_FSYNC"))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crash child:", err)
@@ -61,7 +76,7 @@ func crashChildMain() {
 		fmt.Fprintln(os.Stderr, "crash child:", err)
 		os.Exit(3)
 	}
-	dur, err := OpenDurable(NewOTBStore(), DurabilityOptions{
+	dur, err := OpenDurable(newStore(), DurabilityOptions{
 		Dir:           os.Getenv("TXNET_CRASH_DIR"),
 		Fsync:         policy,
 		SnapshotEvery: snap,
@@ -100,12 +115,13 @@ type crashChild struct {
 // startChild launches the child. With waitReady it blocks until the READY
 // line arrives (or the child dies / 30s pass); without, stdout is
 // discarded — the caller intends to kill the child mid-recovery.
-func startChild(t *testing.T, dir, fsync string, snap int, failpoints string, waitReady bool) (*crashChild, error) {
+func startChild(t *testing.T, dir, store, fsync string, snap int, failpoints string, waitReady bool) (*crashChild, error) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(),
 		"TXNET_CRASH_CHILD=1",
 		"TXNET_CRASH_DIR="+dir,
+		"TXNET_CRASH_STORE="+store,
 		"TXNET_CRASH_FSYNC="+fsync,
 		"TXNET_CRASH_SNAP="+strconv.Itoa(snap),
 		"FAILPOINTS="+failpoints,
@@ -409,7 +425,10 @@ func runCrashRound(t *testing.T, round int, seed int64) {
 		mode = modeFsync
 	}
 	doubleCrash := mode == modeSigkill && round%6 == 5
-	t.Logf("mode=%s snapshot-every=%d double-crash=%v seed=%d", mode, snapEvery, doubleCrash, seed)
+	// The seed picks the store, independently of the round-indexed
+	// snapshot cadence and kill mode.
+	store := []string{"otb", "mvotb", "stm"}[rng.Intn(3)]
+	t.Logf("store=%s mode=%s snapshot-every=%d double-crash=%v seed=%d", store, mode, snapEvery, doubleCrash, seed)
 
 	// Arm the internal crash after the session-open appends (≤ 5) are
 	// through, so the fault lands on a commit.
@@ -422,7 +441,7 @@ func runCrashRound(t *testing.T, round int, seed int64) {
 		failpoints = fmt.Sprintf("wal.fsync.fail=panic@nth:%d", k)
 	}
 
-	child, err := startChild(t, dir, "always", snapEvery, failpoints, true)
+	child, err := startChild(t, dir, store, "always", snapEvery, failpoints, true)
 	if err != nil {
 		t.Fatalf("start child: %v", err)
 	}
@@ -467,7 +486,7 @@ func runCrashRound(t *testing.T, round int, seed int64) {
 		// Kill the NEXT child mid-recovery: replay is stretched by the
 		// stall failpoint and the process killed inside it. Recovery must
 		// be idempotent — the final child sees the same truth.
-		mid, err := startChild(t, dir, "always", snapEvery, "wal.replay.stall=delay:1ms", false)
+		mid, err := startChild(t, dir, store, "always", snapEvery, "wal.replay.stall=delay:1ms", false)
 		if err != nil {
 			t.Fatalf("start mid child: %v", err)
 		}
@@ -476,7 +495,7 @@ func runCrashRound(t *testing.T, round int, seed int64) {
 		mid.waitExit(t, 10*time.Second)
 	}
 
-	final, err := startChild(t, dir, "always", snapEvery, "", true)
+	final, err := startChild(t, dir, store, "always", snapEvery, "", true)
 	if err != nil {
 		t.Fatalf("start recovery child: %v", err)
 	}

@@ -23,32 +23,32 @@ import (
 // Ordering: mutating transactions execute and log under one mutex, which
 // fixes the replay order to the execution order. Durable mode therefore
 // trades mutating-commit concurrency for deterministic recovery; read-only
-// transactions are never logged and keep running fully concurrently.
+// transactions are never logged and keep executing fully concurrently, but
+// their acks wait, like a commit's, until every record they may have
+// observed is durable.
 //
 // Failure model is fail-stop: if the log cannot append or fsync, the
 // server must not keep acknowledging — commitTxn panics with *walFatal,
 // which the connection handlers deliberately do not recover, crashing the
 // process before any non-durable ack escapes.
 type Durable struct {
-	store DurableStore
+	store Store
 	log   *wal.Log
 	// mu orders everything the log sees: mutating Exec+Append pairs,
 	// session lastSeq/lastResp updates (including read-only ones, so the
 	// snapshot encoder can read them under mu alone), session open/close
 	// records, and snapshots. Lock order: session.mu → mu → table.mu.
-	mu               sync.Mutex
+	mu sync.Mutex
+	// lastLSN is the LSN of the newest appended record (guarded by mu). A
+	// store change becomes visible before its record is appended, but
+	// both happen under mu, so a read that takes mu after executing finds
+	// here a bound on every record it can have observed.
+	lastLSN          uint64
 	buf              []byte
 	snapEvery        int
 	commitsSinceSnap int
 	sess             *sessionTable
 	rec              RecoveryStats
-}
-
-// DurableStore is a Store whose full state can be dumped as ops — what a
-// snapshot needs beyond the session table. OTBStore implements it.
-type DurableStore interface {
-	Store
-	DumpOps(emit func(Op))
 }
 
 // DurabilityOptions configure OpenDurable.
@@ -97,7 +97,7 @@ func (d *Durable) fatal(err error) {
 // replays it into store, and returns the handle to pass as
 // Options.Durable. The store must be empty: recovery rebuilds it from the
 // snapshot and log.
-func OpenDurable(store DurableStore, o DurabilityOptions) (*Durable, error) {
+func OpenDurable(store Store, o DurabilityOptions) (*Durable, error) {
 	start := time.Now()
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = DefaultSnapshotEvery
@@ -151,7 +151,8 @@ const (
 
 // mutating reports whether any op changes state; pure-read batches are not
 // logged (replaying them is a no-op, and skipping them keeps the log — and
-// therefore recovery time — proportional to actual writes).
+// therefore recovery time — proportional to actual writes). MVOTBStore
+// also uses it to route all-read batches to its snapshot path.
 func mutating(ops []Op) bool {
 	for _, op := range ops {
 		switch op.Code {
@@ -184,58 +185,56 @@ func parseOp(p []byte) Op {
 // for the caller's status classification; log errors never return. The OK
 // response is appended to resp (after the frame prefix execTxn reserved);
 // the session cache keeps the bare payload.
+//
+// A read-only batch is not logged and executes outside d.mu, so reads keep
+// their concurrency. It may still have observed a commit whose record is
+// appended but not yet fsynced, so it waits for d.lastLSN — read under
+// d.mu, after executing — before acking. Otherwise a crash could undo a
+// write the read already reported.
 func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, results []OpResult, resp []byte, o *reqObs) ([]byte, error) {
-	if !mutating(req.ops) {
-		// Read-only: nothing to log. Execute outside d.mu (reads keep
-		// their concurrency) but update the session cache under it, so
-		// the snapshot encoder sees a consistent pair.
+	write := mutating(req.ops)
+	if !write {
 		err := d.store.Exec(ctx, req.ops, results)
 		o.stamp(trace.StageExecute)
 		if err != nil {
 			return resp, err
 		}
-		okStart := len(resp)
-		resp = appendOKResp(resp, req.seq, results, o.wireStages(req))
 		d.mu.Lock()
-		sess.lastSeq = req.seq
-		sess.lastResp = append(sess.lastResp[:0], resp[okStart:]...)
-		d.mu.Unlock()
-		return resp, nil
+	} else {
+		d.mu.Lock()
+		err := d.store.Exec(ctx, req.ops, results)
+		o.stamp(trace.StageExecute)
+		if err != nil {
+			d.mu.Unlock()
+			return resp, err
+		}
+		// The store has applied; from here every exit must be an ack or
+		// a crash. A logging failure after apply cannot be reported as
+		// an abort — that would un-promise a state change the store
+		// already made.
+		d.buf = append(d.buf[:0], recCommit)
+		d.buf = binary.BigEndian.AppendUint64(d.buf, sess.id)
+		d.buf = binary.BigEndian.AppendUint64(d.buf, req.seq)
+		d.buf = binary.BigEndian.AppendUint16(d.buf, uint16(len(req.ops)))
+		for _, op := range req.ops {
+			d.buf = appendOp(d.buf, op)
+		}
+		d.appendLocked()
+		o.stamp(trace.StageWALAppend)
 	}
-
-	d.mu.Lock()
-	err := d.store.Exec(ctx, req.ops, results)
-	o.stamp(trace.StageExecute)
-	if err != nil {
-		d.mu.Unlock()
-		return resp, err
-	}
-	// The store has applied; from here every exit must be an ack or a
-	// crash. A logging failure after apply cannot be reported as an abort
-	// — that would un-promise a state change the store already made.
-	d.buf = append(d.buf[:0], recCommit)
-	d.buf = binary.BigEndian.AppendUint64(d.buf, sess.id)
-	d.buf = binary.BigEndian.AppendUint64(d.buf, req.seq)
-	d.buf = binary.BigEndian.AppendUint16(d.buf, uint16(len(req.ops)))
-	for _, op := range req.ops {
-		d.buf = appendOp(d.buf, op)
-	}
-	lsn, err := d.log.Append(d.buf)
-	if err != nil {
-		d.mu.Unlock()
-		d.fatal(err)
-	}
-	o.stamp(trace.StageWALAppend)
+	lsn := d.lastLSN
 	okStart := len(resp)
 	resp = appendOKResp(resp, req.seq, results, o.wireStages(req))
 	sess.lastSeq = req.seq
 	sess.lastResp = append(sess.lastResp[:0], resp[okStart:]...)
-	d.commitsSinceSnap++
-	if d.snapEvery > 0 && d.commitsSinceSnap >= d.snapEvery {
-		d.commitsSinceSnap = 0
-		// Snapshot failures are survivable (the log still has
-		// everything); wal counts them and we carry on.
-		_ = d.log.Snapshot(d.snapshotPayloadLocked())
+	if write {
+		d.commitsSinceSnap++
+		if d.snapEvery > 0 && d.commitsSinceSnap >= d.snapEvery {
+			d.commitsSinceSnap = 0
+			// Snapshot failures are survivable (the log still has
+			// everything); wal counts them and we carry on.
+			_ = d.log.Snapshot(d.snapshotPayloadLocked())
+		}
 	}
 	d.mu.Unlock()
 	o.rearm()
@@ -252,17 +251,26 @@ func (d *Durable) commitTxn(ctx context.Context, sess *session, req txnReq, resu
 	return resp, nil
 }
 
+// appendLocked appends d.buf as one record and advances d.lastLSN. Caller
+// holds d.mu; an append failure is fatal (it unlocks first).
+func (d *Durable) appendLocked() {
+	lsn, err := d.log.Append(d.buf)
+	if err != nil {
+		d.mu.Unlock()
+		d.fatal(err)
+	}
+	d.lastLSN = lsn
+}
+
 // logSessionOpen records a session grant. Synced under the ack policy like
 // a commit: once the client holds the ID, a restart must still honour it.
 func (d *Durable) logSessionOpen(id uint64) {
 	d.mu.Lock()
 	d.buf = append(d.buf[:0], recSessionOpen)
 	d.buf = binary.BigEndian.AppendUint64(d.buf, id)
-	lsn, err := d.log.Append(d.buf)
+	d.appendLocked()
+	lsn := d.lastLSN
 	d.mu.Unlock()
-	if err != nil {
-		d.fatal(err)
-	}
 	if err := d.log.SyncTo(lsn); err != nil {
 		d.fatal(err)
 	}
@@ -275,11 +283,8 @@ func (d *Durable) logSessionClose(id uint64) {
 	d.mu.Lock()
 	d.buf = append(d.buf[:0], recSessionClose)
 	d.buf = binary.BigEndian.AppendUint64(d.buf, id)
-	_, err := d.log.Append(d.buf)
+	d.appendLocked()
 	d.mu.Unlock()
-	if err != nil {
-		d.fatal(err)
-	}
 }
 
 // snapshotPayloadLocked encodes the full recovery image: session table

@@ -3,10 +3,12 @@ package txnet
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/chaos/failpoint"
 	"repro/internal/chaos/leak"
 	"repro/internal/wal"
 )
@@ -156,6 +158,62 @@ func TestDurableReadsNotLogged(t *testing.T) {
 	// But the exactly-once cache still tracks them.
 	if resp := rc.txn(6, 0, Op{Code: OpContains, Struct: 0, Key: 1}); resp.status != StatusOK || !resp.results[0].OK {
 		t.Fatalf("read replay: %+v", resp)
+	}
+	shutdown(t, s)
+}
+
+// TestDurableReadWaitsForObservedCommit: a read that observes a commit
+// whose fsync is still in flight must not be acknowledged before that
+// commit is durable. Otherwise a crash could undo a write the read has
+// already reported. The fsync delay holds the writer's commit applied but
+// unsynced for 300ms while the reader polls.
+func TestDurableReadWaitsForObservedCommit(t *testing.T) {
+	leak.CheckCleanup(t)
+	s := newDurableServer(t, filepath.Join(t.TempDir(), "wal"), -1)
+	var conns [2]*wconn
+	var sess [2]uint64
+	for i := range conns {
+		c, err := dialCrash(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.close()
+		h, err := c.rt(appendHello(nil, 0))
+		if err != nil || h.status != StatusHello {
+			t.Fatalf("hello: %+v %v", h, err)
+		}
+		conns[i], sess[i] = c, h.sessionID
+	}
+	writer, reader := conns[0], conns[1]
+
+	defer failpoint.Arm("wal.fsync.fail", failpoint.Spec{Action: failpoint.Delay, Delay: 300 * time.Millisecond})()
+	addLSN := s.dur.log.NextLSN()
+	done := make(chan error, 1)
+	go func() {
+		resp, err := writer.rt(appendTxn(nil, sess[0], 1, 0, 0, 0, 0, []Op{{Code: OpAdd, Struct: 0, Key: 6}}))
+		if err == nil && resp.status != StatusOK {
+			err = fmt.Errorf("add: %+v", resp)
+		}
+		done <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for seq := uint64(1); ; seq++ {
+		resp, err := reader.rt(appendTxn(nil, sess[1], seq, 0, 0, 0, 0, []Op{{Code: OpContains, Struct: 0, Key: 6}}))
+		if err != nil || resp.status != StatusOK {
+			t.Fatalf("read %d: %+v %v", seq, resp, err)
+		}
+		if resp.results[0].OK {
+			if synced := s.dur.log.SyncedLSN(); synced < addLSN {
+				t.Fatalf("read acked the Add at lsn %d while the log was durable only to lsn %d", addLSN, synced)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the read never observed the Add")
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 	shutdown(t, s)
 }

@@ -302,7 +302,7 @@ func newBlockingStore() *blockingStore {
 	}
 }
 
-func (b *blockingStore) NumStructs() int { return 1 }
+func (b *blockingStore) DumpOps(func(Op)) {}
 
 func (b *blockingStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
 	b.waiting <- struct{}{}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/mvotb"
 	"repro/internal/otb"
 	"repro/internal/stm"
 	"repro/internal/stmds"
@@ -22,253 +23,263 @@ var ErrBadOp = errors.New("txnet: invalid operation")
 // unchanged; invalid requests wrap ErrBadOp and are detected before any
 // transactional work). Implementations are shared by every connection and
 // must be safe for concurrent use.
+//
+// DumpOps emits one op per live entry across every structure, in registry
+// order — replaying them against an empty store of the same shape rebuilds
+// the current state, which is what a durable snapshot records. The caller
+// must be quiescent (no concurrent Exec); the durable commit path
+// guarantees this by snapshotting under its lock.
 type Store interface {
 	Exec(ctx context.Context, ops []Op, res []OpResult) error
-	// NumStructs reports the registry size, for request validation.
-	NumStructs() int
+	DumpOps(emit func(Op))
 }
 
-// OTBStore serves OTB structures: any mix of sets, maps and priority
-// queues, all updated in one otb.Atomic transaction per request. The zero
-// value is empty; register structures before serving (registration is not
-// synchronized with traffic).
-type OTBStore struct {
-	structs []otbStruct
+// DurableStore is an alias of Store, kept for callers that name it.
+type DurableStore = Store
+
+// kind is the abstract type of one registered structure.
+type kind uint8
+
+const (
+	kindSet kind = iota
+	kindMap
+	kindPQ
+)
+
+// kindOps is the one table of op validity: bit c is set when a structure
+// of that kind accepts OpCode c. Codes past the mask width shift to 0, so
+// unknown codes fail the same test.
+var kindOps = [...]uint32{
+	kindSet: 1<<OpAdd | 1<<OpRemove | 1<<OpContains,
+	kindMap: 1<<OpPut | 1<<OpGet | 1<<OpDelete | 1<<OpContains,
+	kindPQ:  1<<OpAdd | 1<<OpMin | 1<<OpRemoveMin,
 }
 
-// otbStruct dispatches ops onto one OTB structure kind. supports is checked
-// before the transaction starts, so apply never fails mid-transaction. dump
-// emits ops that rebuild the structure's current state (quiescent callers
-// only — snapshots run with the commit path held).
-type otbStruct interface {
-	supports(c OpCode) bool
-	apply(tx *otb.Tx, op Op) OpResult
-	dump(st uint32, emit func(Op))
-}
-
-// NewOTBStore builds the default store: one ListSet (index 0), one Map
-// (index 1) and one SkipPQ (index 2) — the three abstract types the paper
-// boosts, behind one transactional API (the Proust design space).
-func NewOTBStore() *OTBStore {
-	s := &OTBStore{}
-	s.AddSet(otb.NewListSet())
-	s.AddMap(otb.NewMap())
-	s.AddPQ(otb.NewSkipPQ())
-	return s
-}
-
-// NumStructs implements Store.
-func (s *OTBStore) NumStructs() int { return len(s.structs) }
-
-// AddSet registers a set (ListSet and SkipSet both qualify) and returns its
-// wire index.
-func (s *OTBStore) AddSet(set otbSetOps) uint32 {
-	s.structs = append(s.structs, otbSet{set})
-	return uint32(len(s.structs) - 1)
-}
-
-// AddMap registers an OTB ordered map and returns its wire index.
-func (s *OTBStore) AddMap(m *otb.Map) uint32 {
-	s.structs = append(s.structs, otbMap{m})
-	return uint32(len(s.structs) - 1)
-}
-
-// AddPQ registers a skip-list priority queue and returns its wire index.
-func (s *OTBStore) AddPQ(q *otb.SkipPQ) uint32 {
-	s.structs = append(s.structs, otbPQ{q})
-	return uint32(len(s.structs) - 1)
-}
-
-// otbSetOps is the common surface of otb.ListSet and otb.SkipSet.
-type otbSetOps interface {
-	Add(tx *otb.Tx, key int64) bool
-	Remove(tx *otb.Tx, key int64) bool
-	Contains(tx *otb.Tx, key int64) bool
+// txSet, txMap and txPQ are what each abstract type offers under a runtime
+// whose transactions have type T. Keys and Range are quiescent iterators,
+// used only to dump.
+type txSet[T any] interface {
+	Add(tx T, key int64) bool
+	Remove(tx T, key int64) bool
+	Contains(tx T, key int64) bool
 	Keys() []int64
 }
 
-type otbSet struct{ s otbSetOps }
-
-func (w otbSet) supports(c OpCode) bool {
-	return c == OpAdd || c == OpRemove || c == OpContains
+type txMap[T any] interface {
+	Put(tx T, key int64, val uint64) bool
+	Get(tx T, key int64) (uint64, bool)
+	Delete(tx T, key int64) bool
+	Range(fn func(key int64, val uint64))
 }
 
-func (w otbSet) apply(tx *otb.Tx, op Op) OpResult {
-	switch op.Code {
-	case OpAdd:
-		return OpResult{OK: w.s.Add(tx, op.Key)}
-	case OpRemove:
-		return OpResult{OK: w.s.Remove(tx, op.Key)}
-	default:
-		return OpResult{OK: w.s.Contains(tx, op.Key)}
-	}
+type txPQ[T any] interface {
+	Add(tx T, key int64) bool
+	Min(tx T) (int64, bool)
+	RemoveMin(tx T) (int64, bool)
+	Keys() []int64
 }
 
-func (w otbSet) dump(st uint32, emit func(Op)) {
-	for _, k := range w.s.Keys() {
-		emit(Op{Code: OpAdd, Struct: st, Key: k})
-	}
+// structure is one registry slot: its kind and the field that kind uses.
+type structure[T any] struct {
+	kind kind
+	set  txSet[T]
+	m    txMap[T]
+	pq   txPQ[T]
 }
 
-type otbMap struct{ m *otb.Map }
+// registry is the runtime-independent half of every store: the structures
+// by wire index, op validation, apply and dump. Each store adds only its
+// runtime's transaction runner.
+type registry[T any] []structure[T]
 
-func (w otbMap) supports(c OpCode) bool {
-	return c == OpPut || c == OpGet || c == OpDelete || c == OpContains
-}
-
-func (w otbMap) apply(tx *otb.Tx, op Op) OpResult {
-	switch op.Code {
-	case OpPut:
-		return OpResult{OK: w.m.Put(tx, op.Key, op.Val)}
-	case OpGet:
-		v, ok := w.m.Get(tx, op.Key)
-		return OpResult{Out: v, OK: ok}
-	case OpDelete:
-		return OpResult{OK: w.m.Delete(tx, op.Key)}
-	default:
-		return OpResult{OK: w.m.ContainsKey(tx, op.Key)}
-	}
-}
-
-func (w otbMap) dump(st uint32, emit func(Op)) {
-	for k, v := range w.m.Snapshot() {
-		emit(Op{Code: OpPut, Struct: st, Key: k, Val: v})
-	}
-}
-
-type otbPQ struct{ q *otb.SkipPQ }
-
-func (w otbPQ) supports(c OpCode) bool {
-	return c == OpAdd || c == OpMin || c == OpRemoveMin
-}
-
-func (w otbPQ) apply(tx *otb.Tx, op Op) OpResult {
-	switch op.Code {
-	case OpAdd:
-		return OpResult{OK: w.q.Add(tx, op.Key)}
-	case OpMin:
-		k, ok := w.q.Min(tx)
-		return OpResult{Out: uint64(k), OK: ok}
-	default:
-		k, ok := w.q.RemoveMin(tx)
-		return OpResult{Out: uint64(k), OK: ok}
-	}
-}
-
-func (w otbPQ) dump(st uint32, emit func(Op)) {
-	for _, k := range w.q.Keys() {
-		emit(Op{Code: OpAdd, Struct: st, Key: k})
-	}
-}
-
-// DumpOps emits one op per live entry across every registered structure,
-// in registry order — replaying them against an empty store rebuilds the
-// current state. The caller must be quiescent (no concurrent Exec); the
-// durable commit path guarantees this by snapshotting under its lock.
-func (s *OTBStore) DumpOps(emit func(Op)) {
-	for i, st := range s.structs {
-		st.dump(uint32(i), emit)
-	}
-}
-
-// validateOps rejects malformed batches before any transactional work —
-// codes in range and structure indexes inside the registry — so a failing
-// batch provably applied nothing.
-func validateOps(nstructs int, ops []Op) error {
+// check rejects malformed batches before any transactional work — the
+// structure index inside the registry and the code accepted by that
+// structure's kind — so a failing batch provably applied nothing.
+func (r registry[T]) check(ops []Op) error {
 	for i, op := range ops {
-		if op.Code >= numOpCodes {
-			return fmt.Errorf("%w: op %d has unknown code %d", ErrBadOp, i, uint8(op.Code))
+		if int(op.Struct) >= len(r) {
+			return fmt.Errorf("%w: op %d addresses structure %d of %d", ErrBadOp, i, op.Struct, len(r))
 		}
-		if int(op.Struct) >= nstructs {
-			return fmt.Errorf("%w: op %d addresses structure %d of %d", ErrBadOp, i, op.Struct, nstructs)
+		if kindOps[r[op.Struct].kind]>>op.Code&1 == 0 {
+			return fmt.Errorf("%w: op %d: %s on structure %d", ErrBadOp, i, op.Code, op.Struct)
 		}
 	}
 	return nil
 }
 
+// apply runs a checked batch inside tx, one result per op.
+func (r registry[T]) apply(tx T, ops []Op, res []OpResult) {
+	for i, op := range ops {
+		s := &r[op.Struct]
+		switch s.kind {
+		case kindSet:
+			switch op.Code {
+			case OpAdd:
+				res[i] = OpResult{OK: s.set.Add(tx, op.Key)}
+			case OpRemove:
+				res[i] = OpResult{OK: s.set.Remove(tx, op.Key)}
+			default:
+				res[i] = OpResult{OK: s.set.Contains(tx, op.Key)}
+			}
+		case kindMap:
+			switch op.Code {
+			case OpPut:
+				res[i] = OpResult{OK: s.m.Put(tx, op.Key, op.Val)}
+			case OpGet:
+				v, ok := s.m.Get(tx, op.Key)
+				res[i] = OpResult{Out: v, OK: ok}
+			case OpDelete:
+				res[i] = OpResult{OK: s.m.Delete(tx, op.Key)}
+			default:
+				_, ok := s.m.Get(tx, op.Key)
+				res[i] = OpResult{OK: ok}
+			}
+		default:
+			switch op.Code {
+			case OpAdd:
+				res[i] = OpResult{OK: s.pq.Add(tx, op.Key)}
+			case OpMin:
+				k, ok := s.pq.Min(tx)
+				res[i] = OpResult{Out: uint64(k), OK: ok}
+			default:
+				k, ok := s.pq.RemoveMin(tx)
+				res[i] = OpResult{Out: uint64(k), OK: ok}
+			}
+		}
+	}
+}
+
+// DumpOps implements Store: sets and queues dump as Adds, maps as Puts.
+func (r registry[T]) DumpOps(emit func(Op)) {
+	for i, s := range r {
+		st := uint32(i)
+		var keys []int64
+		switch s.kind {
+		case kindSet:
+			keys = s.set.Keys()
+		case kindMap:
+			s.m.Range(func(k int64, v uint64) { emit(Op{Code: OpPut, Struct: st, Key: k, Val: v}) })
+		default:
+			keys = s.pq.Keys()
+		}
+		for _, k := range keys {
+			emit(Op{Code: OpAdd, Struct: st, Key: k})
+		}
+	}
+}
+
+// OTBStore serves OTB structures — a ListSet (index 0), a Map (index 1)
+// and a SkipPQ (index 2), the three abstract types the paper boosts behind
+// one transactional API (the Proust design space) — all updated in one
+// otb.Atomic transaction per request.
+type OTBStore struct{ registry[*otb.Tx] }
+
+// NewOTBStore builds an empty OTB store.
+func NewOTBStore() *OTBStore {
+	return &OTBStore{registry[*otb.Tx]{
+		{kind: kindSet, set: otb.NewListSet()},
+		{kind: kindMap, m: otb.NewMap()},
+		{kind: kindPQ, pq: otb.NewSkipPQ()},
+	}}
+}
+
 // Exec implements Store: all ops run in one OTB transaction, so the batch
 // commits or aborts as a unit.
 func (s *OTBStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
-	if err := validateOps(len(s.structs), ops); err != nil {
+	if err := s.check(ops); err != nil {
 		return err
 	}
-	for i, op := range ops {
-		if !s.structs[op.Struct].supports(op.Code) {
-			return fmt.Errorf("%w: op %d: %s on structure %d", ErrBadOp, i, op.Code, op.Struct)
-		}
+	return otb.AtomicCtx(ctx, nil, func(tx *otb.Tx) { s.apply(tx, ops, res) })
+}
+
+// MVOTBStore serves the multi-version runtime's structures: a set (index 0)
+// and a map (index 1). Batches that only read — every op is a Contains or
+// Get — execute as one never-abort snapshot transaction; anything else runs
+// the updater path. A read-heavy wire workload therefore gets the
+// multi-version payoff (no validation, no retries) without any protocol
+// change: the client cannot tell which path served it.
+type MVOTBStore struct {
+	registry[*mvotb.Tx]
+	rt  *mvotb.Runtime
+	set *mvotb.Set
+	m   *mvotb.Map
+}
+
+// NewMVOTBStore builds a store over a fresh runtime.
+func NewMVOTBStore() *MVOTBStore {
+	rt := mvotb.New(mvotb.Options{})
+	s := &MVOTBStore{rt: rt, set: rt.NewSet(256), m: rt.NewMap(256)}
+	s.registry = registry[*mvotb.Tx]{{kind: kindSet, set: s.set}, {kind: kindMap, m: s.m}}
+	return s
+}
+
+// Stop halts the runtime's background version GC.
+func (s *MVOTBStore) Stop() { s.rt.Stop() }
+
+// Exec implements Store.
+func (s *MVOTBStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
+	if err := s.check(ops); err != nil {
+		return err
 	}
-	return otb.AtomicCtx(ctx, nil, func(tx *otb.Tx) {
+	if mutating(ops) {
+		return s.rt.AtomicCtx(ctx, func(tx *mvotb.Tx) { s.apply(tx, ops, res) })
+	}
+	// With no queue registered, a checked read-only batch holds only
+	// Contains and Get ops.
+	return s.rt.ReadOnlyCtx(ctx, func(x *mvotb.STx) {
 		for i, op := range ops {
-			res[i] = s.structs[op.Struct].apply(tx, op)
+			switch {
+			case op.Struct == 0:
+				res[i] = OpResult{OK: s.set.SnapContains(x, op.Key)}
+			case op.Code == OpGet:
+				v, ok := s.m.SnapGet(x, op.Key)
+				res[i] = OpResult{Out: v, OK: ok}
+			default:
+				res[i] = OpResult{OK: s.m.SnapContains(x, op.Key)}
+			}
 		}
 	})
 }
 
-// STMStore serves word-based STM structures: a set and a map, both backed
-// by stmds.HashMap chains over the given algorithm's cells, executed with
-// the algorithm's AtomicCtx. It demonstrates that the network layer is
-// runtime-agnostic — any stm.AlgorithmCtx hosts the same wire API.
-//
-// Structure indexes: 0 is a set (Add/Remove/Contains via membership), 1 is
-// a map (Put/Get/Delete/Contains). Capacity is fixed at construction (the
-// underlying arenas do not grow).
+// STMStore serves word-based STM structures: a set (index 0) and a map
+// (index 1), both stmds.HashMap chains over the given algorithm's cells,
+// executed with the algorithm's AtomicCtx. It demonstrates that the
+// network layer is runtime-agnostic — any stm.AlgorithmCtx hosts the same
+// wire API. Capacity is fixed at construction (the arenas do not grow).
 type STMStore struct {
+	registry[stm.Tx]
 	alg stm.AlgorithmCtx
-	set *stmds.HashMap // membership via Put(key, 1)/Delete
-	kv  *stmds.HashMap
 }
 
 // NewSTMStore builds an STM-backed store over alg with room for capacity
 // inserts per structure.
 func NewSTMStore(alg stm.AlgorithmCtx, capacity int) *STMStore {
-	return &STMStore{
-		alg: alg,
-		set: stmds.NewHashMap(256, capacity),
-		kv:  stmds.NewHashMap(256, capacity),
-	}
+	return &STMStore{alg: alg, registry: registry[stm.Tx]{
+		{kind: kindSet, set: stmSet{stmds.NewHashMap(256, capacity)}},
+		{kind: kindMap, m: stmds.NewHashMap(256, capacity)},
+	}}
 }
-
-// NumStructs implements Store.
-func (s *STMStore) NumStructs() int { return 2 }
 
 // Exec implements Store.
 func (s *STMStore) Exec(ctx context.Context, ops []Op, res []OpResult) error {
-	if err := validateOps(2, ops); err != nil {
+	if err := s.check(ops); err != nil {
 		return err
 	}
-	for i, op := range ops {
-		setOp := op.Code == OpAdd || op.Code == OpRemove || op.Code == OpContains
-		mapOp := op.Code == OpPut || op.Code == OpGet || op.Code == OpDelete || op.Code == OpContains
-		if (op.Struct == 0 && !setOp) || (op.Struct == 1 && !mapOp) {
-			return fmt.Errorf("%w: op %d: %s on structure %d", ErrBadOp, i, op.Code, op.Struct)
-		}
-	}
-	return s.alg.AtomicCtx(ctx, func(tx stm.Tx) {
-		for i, op := range ops {
-			if op.Struct == 0 {
-				switch op.Code {
-				case OpAdd:
-					res[i] = OpResult{OK: s.set.Put(tx, op.Key, 1)}
-				case OpRemove:
-					res[i] = OpResult{OK: s.set.Delete(tx, op.Key)}
-				default:
-					_, found := s.set.Get(tx, op.Key)
-					res[i] = OpResult{OK: found}
-				}
-				continue
-			}
-			switch op.Code {
-			case OpPut:
-				res[i] = OpResult{OK: s.kv.Put(tx, op.Key, op.Val)}
-			case OpGet:
-				v, found := s.kv.Get(tx, op.Key)
-				res[i] = OpResult{Out: v, OK: found}
-			case OpDelete:
-				res[i] = OpResult{OK: s.kv.Delete(tx, op.Key)}
-			default:
-				_, found := s.kv.Get(tx, op.Key)
-				res[i] = OpResult{OK: found}
-			}
-		}
-	})
+	return s.alg.AtomicCtx(ctx, func(tx stm.Tx) { s.apply(tx, ops, res) })
+}
+
+// stmSet is a stmds.HashMap used as a set: a key is a member iff mapped.
+type stmSet struct{ m *stmds.HashMap }
+
+func (s stmSet) Add(tx stm.Tx, key int64) bool    { return s.m.Put(tx, key, 1) }
+func (s stmSet) Remove(tx stm.Tx, key int64) bool { return s.m.Delete(tx, key) }
+
+func (s stmSet) Contains(tx stm.Tx, key int64) bool {
+	_, ok := s.m.Get(tx, key)
+	return ok
+}
+
+func (s stmSet) Keys() (keys []int64) {
+	s.m.Range(func(k int64, _ uint64) { keys = append(keys, k) })
+	return keys
 }
